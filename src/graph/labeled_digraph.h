@@ -19,12 +19,14 @@ namespace reach {
 /// `0 .. NumLabels()-1`; callers may attach human-readable names.
 class LabeledDigraph {
  public:
-  /// A (neighbor, label) adjacency entry.
+  /// A (neighbor, label) adjacency entry. Each adjacency list is sorted by
+  /// (vertex, label), the order `<=>` compares in.
   struct Arc {
     VertexId vertex;
     Label label;
 
     friend bool operator==(const Arc&, const Arc&) = default;
+    friend auto operator<=>(const Arc&, const Arc&) = default;
   };
 
   LabeledDigraph() = default;

@@ -4,13 +4,109 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/label_pool.h"
+#include "core/two_hop_engine.h"
 #include "lcr/label_set.h"
 #include "lcr/lcr_index.h"
 
 namespace reach {
+
+/// What P2H+ plugs into `TwoHopEngine`: an entry is a hop rank plus the
+/// minimal label set (SPLS) of a path through it, a rank may carry a group
+/// of such entries, and queries carry the allowed label set — a hop joins
+/// s and t iff both sides have an entry whose SPLS ⊆ allowed.
+struct LabeledTwoHopTraits {
+  using Interface = LcrIndex;
+  using Graph = LabeledDigraph;
+  using Update = LabeledEdgeUpdate;
+  using Arc = LabeledDigraph::Arc;
+  struct Entry {
+    uint32_t rank;
+    LabelSet mask;
+  };
+  using CompressedPool = CompressedEntryPool<Entry>;
+  using Constraint = LabelSet;
+
+  static constexpr bool kRankGroups = true;
+  // Damaged-witness verification counts as a probe fallback.
+  static constexpr bool kCountsFallbacks = true;
+  static constexpr std::string_view kFormatName = "p2h";
+  // Distinct from the plain "reach-2h" payload; the envelope already
+  // distinguishes formats, this is defense in depth.
+  static constexpr uint64_t kPayloadMagic = 0x7265616368703268ULL;  // reachp2h
+
+  static uint32_t RankOf(const Entry& entry) { return entry.rank; }
+  static LabelSet EntryConstraint(const Entry& entry) { return entry.mask; }
+
+  // Kernels (pruned_labeled_two_hop.cc, docs/QUERY_ENGINE.md): true iff
+  // `list` holds (rank, mask ⊆ allowed); the rank-grouped sweep over two
+  // sorted entry ranges; and their compressed-pool analogues — a rank
+  // group is never split across blocks, so the covered test decodes one
+  // block and the intersection is a skip-table block-merge over decoded
+  // block pairs.
+  static bool Covered(std::span<const Entry> list, uint32_t rank,
+                      LabelSet allowed);
+  static bool Covered(const CompressedPool& pool, VertexId v, uint32_t rank,
+                      LabelSet allowed);
+  static bool Intersect(std::span<const Entry> out, std::span<const Entry> in,
+                        LabelSet allowed);
+  static bool Intersect(const CompressedPool& out_pool, VertexId s,
+                        const CompressedPool& in_pool, VertexId t,
+                        LabelSet allowed);
+  static bool Intersect(const CompressedPool& pool, VertexId v,
+                        std::span<const Entry> other, LabelSet allowed);
+  // Refuses when a rank group outgrows any block (the engine stays flat).
+  static bool Seal(CompressedPool& pool,
+                   const std::vector<std::vector<Entry>>& lists,
+                   size_t block_entries) {
+    return pool.Seal(lists, block_entries);
+  }
+
+  static std::span<const Arc> OutArcs(const LabeledDigraph& g, VertexId v) {
+    return g.OutArcs(v);
+  }
+  static std::span<const Arc> InArcs(const LabeledDigraph& g, VertexId v) {
+    return g.InArcs(v);
+  }
+  static VertexId Head(const Arc& arc) { return arc.vertex; }
+  static bool ArcAllowed(const Arc& arc, LabelSet allowed) {
+    return IsSubsetOf(LabelBit(arc.label), allowed);
+  }
+  // A live all-`label` detour keeps every answer: any query path through
+  // the deleted arc has `label` in its allowed set, so splicing in the
+  // detour stays within it.
+  static LabelSet DetourConstraint(const Arc& arc) {
+    return LabelBit(arc.label);
+  }
+  static Arc OutArc(const LabeledEdgeUpdate& u) { return {u.target, u.label}; }
+  static Arc InArc(const LabeledEdgeUpdate& u) { return {u.source, u.label}; }
+  static bool LabelInRange(const LabeledDigraph& g,
+                           const LabeledEdgeUpdate& u) {
+    return u.label < g.NumLabels();
+  }
+  static LabeledEdge MakeEdge(VertexId source, const Arc& arc) {
+    return {source, arc.vertex, arc.label};
+  }
+  static Arc OutArcOf(const LabeledEdge& e) { return {e.target, e.label}; }
+  static LabeledDigraph FromEdges(const LabeledDigraph& like,
+                                  std::vector<LabeledEdge> edges) {
+    return LabeledDigraph::FromEdges(
+        static_cast<VertexId>(like.NumVertices()), like.NumLabels(),
+        std::move(edges));
+  }
+
+  // Build: one label-BFS per rank and direction (pruned_labeled_two_hop.cc).
+  struct Scratch;
+  template <typename Engine, typename Emit>
+  static bool Sweep(const Engine& engine, const LabeledDigraph& graph,
+                    uint32_t r, bool forward, bool speculative, Scratch& s,
+                    Emit&& emit);
+  template <typename Engine>
+  static void PropagateInsert(Engine& engine, VertexId s, const Arc& arc);
+};
 
 /// P2H+-style pruned labeled 2-hop index (Peng et al. [33], paper §4.1.3),
 /// with DLCR-style [10] incremental edge insertion — the 2-hop rows of
@@ -34,32 +130,24 @@ namespace reach {
 ///    reaches its source, keeping the index correct (possibly with
 ///    redundant entries — DLCR's redundancy elimination bookkeeping is
 ///    out of scope; see DESIGN.md).
-///  * Deletes reuse the plain `PrunedTwoHop` decremental design,
-///    generalized to labeled arcs. Labels always describe the *superset*
-///    graph G+ (base ∪ everything ever inserted, tombstones ignored), so
-///    "no covered witness" stays an exact negative for the shrunken live
-///    graph. A deleted arc is tombstoned (live iterators skip it; the
-///    superset iterators keep it). A delete is *locally redundant* — zero
-///    damage — when a live all-`label` detour s ->* t survives within a
-///    bounded search (any query path through the arc reroutes without
-///    growing its mask). Otherwise a label-ignoring sweep over G+ marks
-///    ancestor ranks of s as forward-damaged and descendant ranks of t as
-///    backward-damaged (a sound over-approximation of the constrained
-///    ancestor/descendant sets); damaged witnesses are re-checked by a
-///    constrained traversal pruned with superset label tests, so answers
-///    stay exact at any damage level. `RebuildFromUpdates` re-minimizes
-///    and clears the damage once it crosses the staleness budget.
-class PrunedLabeledTwoHop : public LcrIndex {
+///  * Deletes go through the engine's decremental machinery (`TwoHopEngine`,
+///    DESIGN.md §2.5) over labeled arcs. A delete is *locally
+///    redundant* — zero damage — when a live all-`label` detour s ->* t
+///    survives a bounded search. Otherwise label-ignoring sweeps over the
+///    superset graph mark ancestor ranks of s as forward-damaged and
+///    descendant ranks of t as backward-damaged (a sound over-approximation
+///    of the constrained ancestor/descendant sets); damaged witnesses are
+///    re-checked by a constrained traversal, so answers stay exact at any
+///    damage level. `RebuildFromUpdates` re-minimizes and clears the
+///    damage once it crosses the staleness budget.
+class PrunedLabeledTwoHop : public TwoHopEngine<LabeledTwoHopTraits> {
  public:
-  /// Default `staleness_budget` (see constructor).
-  static constexpr size_t kDefaultStalenessBudget = 32;
-
-  /// `num_threads` parallelizes the build with the same rank-batched
-  /// speculate/commit/redo scheme as `PrunedTwoHop` (speculative sweeps
-  /// consult a worker-local shadow of their own rank's entries, since the
-  /// serial pruning oracle sees in-sweep insertions). The labeling is
-  /// bit-identical to a serial build for any thread count
-  /// (docs/PARALLELISM.md). 0 = `DefaultThreads()`, 1 = serial.
+  /// `num_threads` parallelizes the build with rank-batched
+  /// speculate/commit/redo; speculative sweeps consult a worker-local
+  /// shadow of their own rank's entries, since the serial pruning oracle
+  /// sees in-sweep insertions. The labeling is bit-identical to a serial
+  /// build for any thread count (docs/PARALLELISM.md). 0 =
+  /// `DefaultThreads()`, 1 = serial.
   ///
   /// `staleness_budget` is the damage level past which `ApplyUpdate`
   /// reports `kDeferredRebuild` (answers stay exact; the caller decides
@@ -68,40 +156,20 @@ class PrunedLabeledTwoHop : public LcrIndex {
                                TwoHopStorageOptions storage = {},
                                size_t staleness_budget =
                                    kDefaultStalenessBudget)
-      : num_threads_(num_threads),
-        storage_(storage),
-        staleness_budget_(staleness_budget) {}
+      : TwoHopEngine(VertexOrder::kDegree, 0, num_threads, storage,
+                     staleness_budget) {}
 
-  void Build(const LabeledDigraph& graph) override;
   bool Query(VertexId s, VertexId t, LabelSet allowed) const override;
-  size_t IndexSizeBytes() const override;
-  /// Complete while undamaged; damaged witnesses fall back to constrained
-  /// traversal until `RebuildFromUpdates`.
-  bool IsComplete() const override { return damage_ == 0; }
+  /// Envelope format name too.
   std::string Name() const override { return "p2h"; }
-  QueryProbe Probe() const override { return probe_; }
-  void ResetProbe() const override { probe_.Reset(); }
-
-  /// Serializes the labeling (envelope + ranks + (hop, SPLS) entries) to
-  /// a binary stream; the state already reflects any incremental
-  /// insertions. Refuses (returns false) while `Damage() > 0`: a damaged
-  /// labeling is only exact together with the live tombstone state, which
-  /// the stream does not carry — `RebuildFromUpdates()` first. Envelope
-  /// format name: "p2h".
-  bool SupportsSerialization() const override { return true; }
-  bool Save(std::ostream& out) const override;
-
-  /// Restores a labeling saved by `Save`. A loaded index answers queries
-  /// without the original graph; call `Build` (or keep the graph around)
-  /// before using `ApplyUpdate` again. Returns a typed error on malformed
-  /// input, leaving the index unspecified.
-  LoadResult Load(std::istream& in) override;
 
   /// Applies a batch of labeled inserts and deletes (class comment).
   /// Validate-first: an endpoint or label out of range rejects the whole
   /// batch with no state change. Returns `kDeferredRebuild` once damage
   /// exceeds the staleness budget.
-  UpdateResult ApplyUpdate(const LabeledUpdateBatch& batch);
+  UpdateResult ApplyUpdate(const LabeledUpdateBatch& batch) {
+    return ApplyBatch(batch);
+  }
 
   /// Deletions are absorbed incrementally (class comment).
   bool SupportsDeletions() const { return true; }
@@ -109,170 +177,13 @@ class PrunedLabeledTwoHop : public LcrIndex {
   /// Rebuilds from the live edge set (base ∪ extras, minus tombstones),
   /// re-minimizing the labeling and resetting damage to zero. Returns
   /// false when no live graph is attached (after `Load`).
-  bool RebuildFromUpdates();
-
-  /// Number of damaging deletes absorbed since the last (re)build.
-  size_t Damage() const { return damage_; }
-
-  /// The rebuild-recommendation threshold (0 = never recommend).
-  size_t StalenessBudget() const { return staleness_budget_; }
-
-  /// Incremental insertion of the labeled edge s -l-> t.
-  [[deprecated("use ApplyUpdate(LabeledUpdateBatch) instead")]] void
-  InsertEdge(VertexId s, VertexId t, Label label) {
-    ApplyUpdate({LabeledEdgeUpdate::Insert(s, t, label)});
-  }
+  bool RebuildFromUpdates() { return Rebuild(); }
 
   /// Total number of (hop, SPLS) entries across all vertices.
-  size_t TotalEntries() const;
-
-  /// True when the sealed entries live in block-compressed pools.
-  bool CompressedStorage() const { return compressed_; }
-  /// True when a `budget_mb` bound was requested but even the coarsest
-  /// storage tier exceeds it (or a rank group forced the flat fallback).
-  bool BudgetExceeded() const { return budget_exceeded_; }
-  const TwoHopStorageOptions& Storage() const { return storage_; }
-
- private:
-  struct Entry {
-    uint32_t rank;
-    LabelSet mask;
-  };
-
-  void BuildLabels(const LabeledDigraph& graph, size_t threads);
-  void SealLabels();
-  // Per-vertex entries as one rank-sorted vector: the sealed pool slice
-  // merged with the delta overlay (Lin only; Lout has no delta).
-  std::vector<Entry> InEntries(VertexId v) const;
-  std::vector<Entry> OutEntries(VertexId v) const;
-  // Build-time pruning oracle over the (unsealed) nested entry vectors.
-  bool LabelQuery(VertexId s, VertexId t, LabelSet allowed) const;
-  // The query dispatch every entry point routes through: the sealed hot
-  // path while undamaged, the witness-trust protocol once deletes have
-  // marked ranks.
-  bool AnswerQuery(VertexId s, VertexId t, LabelSet allowed) const;
-  // Exact answer for the superset graph G+ (pool slices + delta overlay,
-  // tombstones ignored) — the pre-deletion hot path, and the pruning
-  // oracle of the verification traversal (a G+ negative is final).
-  bool SupersetAnswer(VertexId s, VertexId t, LabelSet allowed) const;
-  // Witness-trust slow lane while damage_ > 0: a covered witness whose
-  // rank(s) are unmarked is exact; no witness at all is an exact
-  // negative (labels over-cover the live graph); only damaged witnesses
-  // fall through to VerifyReach.
-  bool DamagedAnswer(VertexId s, VertexId t, LabelSet allowed) const;
-  // Constrained BFS over live arcs (mask ⊆ allowed), pruned at vertices
-  // the superset labels rule out. Exact either way; unbounded on purpose
-  // (the exactness backstop).
-  bool VerifyReach(VertexId s, VertexId t, LabelSet allowed) const;
-  // True iff `entries` holds (rank, mask ⊆ allowed).
-  static bool HasCoveredEntry(std::span<const Entry> entries, uint32_t rank,
-                              LabelSet allowed);
-  // Rank-grouped two-pointer / galloping sweep over two sorted entry
-  // ranges (docs/QUERY_ENGINE.md).
-  static bool IntersectEntryRanges(std::span<const Entry> out,
-                                   std::span<const Entry> in,
-                                   LabelSet allowed);
-  // Compressed-pool analogues: a rank group is never split across blocks,
-  // so the covered test decodes exactly one block and the intersection is
-  // a skip-table block-merge calling `IntersectEntryRanges` on decoded
-  // block pairs (docs/SNAPSHOTS.md).
-  static bool CoveredInPool(const CompressedEntryPool<Entry>& pool,
-                            VertexId v, uint32_t rank, LabelSet allowed);
-  static bool IntersectPools(const CompressedEntryPool<Entry>& out_pool,
-                             VertexId s,
-                             const CompressedEntryPool<Entry>& in_pool,
-                             VertexId t, LabelSet allowed);
-  static bool IntersectPoolWithSpan(const CompressedEntryPool<Entry>& pool,
-                                    VertexId v, std::span<const Entry> other,
-                                    LabelSet allowed);
-  // Publishes the index.bytes / compression gauges after a (re)seal.
-  void PublishStorageGauges(size_t flat_equivalent_bytes) const;
-  // Live adjacency: base ∪ extras, minus tombstoned arcs.
-  template <typename ArcFn>
-  void ArcsOut(VertexId v, ArcFn&& fn) const;
-  template <typename ArcFn>
-  void ArcsIn(VertexId v, ArcFn&& fn) const;
-  // Superset adjacency G+: base ∪ extras, tombstones ignored — what the
-  // labels describe, and what damage marking must traverse (a later
-  // delete can break the detour that justified an earlier redundant
-  // one, so marking may not forget since-deleted arcs).
-  template <typename ArcFn>
-  void ArcsOutSuperset(VertexId v, ArcFn&& fn) const;
-  template <typename ArcFn>
-  void ArcsInSuperset(VertexId v, ArcFn&& fn) const;
-
-  // Single-update applicators; return true when graph state changed.
-  bool ApplyInsert(VertexId s, VertexId t, Label label);
-  bool ApplyDelete(VertexId s, VertexId t, Label label);
-  bool IsTombstoned(VertexId s, VertexId t, Label label) const;
-  // Bounded BFS restricted to arcs labeled exactly `label`: if a live
-  // all-`label` detour u ->* v survives the delete, any query path
-  // through the arc reroutes without growing its mask — zero damage.
-  // Budget overrun counts as "not redundant" (conservative).
-  bool LocallyRedundant(VertexId u, VertexId v, Label label) const;
-  // Label-ignoring sweeps over G+: backward from u marks forward-damaged
-  // ranks (their "reaches ..." claims may route through the cut);
-  // forward from v marks backward-damaged ranks. Budget overrun damages
-  // the whole side.
-  void MarkDamage(VertexId u, VertexId v);
-  // Transitive mark sweep over the superset adjacency; false = budget
-  // overrun (caller escalates to the matching *_all_damaged_ flag).
-  bool DamageSweep(VertexId start, bool backward);
-  bool RankDamagedFwd(uint32_t r) const {
-    return fwd_all_damaged_ || damaged_fwd_[r] != 0;
-  }
-  bool RankDamagedBwd(uint32_t r) const {
-    return bwd_all_damaged_ || damaged_bwd_[r] != 0;
-  }
-  // Clears every post-build overlay: extras, tombstones, delta, damage.
-  void ResetDynamicState();
-
-  static constexpr size_t kLocalSearchBudget = 4096;
-
-  size_t num_threads_ = 0;
-  const LabeledDigraph* graph_ = nullptr;
-  LabeledDigraph owned_graph_;  // used after RebuildFromUpdates
-  std::vector<uint32_t> rank_;
-  std::vector<VertexId> by_rank_;
-  // Build-side accumulators (sorted by (rank, insertion)); SealLabels()
-  // moves them into the flat pools and leaves them empty.
-  std::vector<std::vector<Entry>> lin_;
-  std::vector<std::vector<Entry>> lout_;
-  // Sealed query-path layout: exactly one representation is live after
-  // SealLabels — the flat pools, or (when `storage_` asks for compression
-  // or the budget forces it) the block-compressed pools.
-  FlatLabelPool<Entry> lin_pool_;
-  FlatLabelPool<Entry> lout_pool_;
-  CompressedEntryPool<Entry> lin_cpool_;
-  CompressedEntryPool<Entry> lout_cpool_;
-  TwoHopStorageOptions storage_;
-  bool compressed_ = false;
-  bool budget_exceeded_ = false;
-  // Unsealed delta overlay: Lin entries added by InsertEdge after sealing
-  // (rank-ordered). Empty until the first insert.
-  std::vector<std::vector<Entry>> delta_lin_;
-  bool has_delta_ = false;
-  // Arcs inserted after Build. Deleted extras STAY here (tombstoned like
-  // base arcs) so the superset adjacency keeps every arc that ever
-  // existed — see ArcsOutSuperset.
-  std::vector<std::vector<LabeledDigraph::Arc>> extra_out_, extra_in_;
-  size_t staleness_budget_ = kDefaultStalenessBudget;
-  // Tombstoned (deleted) arcs, filtered out by the live iterators.
-  // Sized lazily on first delete; small linear-scanned lists.
-  std::vector<std::vector<LabeledDigraph::Arc>> tomb_out_, tomb_in_;
-  // Damaging deletes since the last (re)build, and the per-rank trust
-  // marks they left (sized lazily by MarkDamage).
-  size_t damage_ = 0;
-  std::vector<uint8_t> damaged_fwd_, damaged_bwd_;
-  bool fwd_all_damaged_ = false;
-  bool bwd_all_damaged_ = false;
-  // Epoch-stamped scratch for the verification / redundancy / marking
-  // traversals (slow lanes; queries are single-threaded through Query).
-  mutable std::vector<uint32_t> visit_stamp_;
-  mutable uint32_t visit_epoch_ = 0;
-  mutable std::vector<VertexId> visit_queue_;
-  mutable QueryProbe probe_;
+  using TwoHopEngine::TotalEntries;
 };
+
+extern template class TwoHopEngine<LabeledTwoHopTraits>;
 
 }  // namespace reach
 

@@ -1,34 +1,105 @@
 #ifndef REACH_PLAIN_PRUNED_TWO_HOP_H_
 #define REACH_PLAIN_PRUNED_TWO_HOP_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "core/label_kernels.h"
 #include "core/label_pool.h"
 #include "core/mapped_file.h"
 #include "core/reachability_index.h"
-#include "core/search_workspace.h"
-#include "core/workspace_pool.h"
+#include "core/two_hop_engine.h"
 #include "graph/digraph.h"
 
 namespace reach {
 
-/// Total orders that instantiate the TOL framework (paper §3.2): "TOL is a
-/// general approach for computing the 2-hop index with a total order of
-/// vertices as input, and TFL, DL, and PLL are instantiations of TOL."
-enum class VertexOrder {
-  /// Decreasing total degree — the DL / PLL instantiation (the paper notes
-  /// DL and PLL are equivalent).
-  kDegree,
-  /// Topological order of the SCC condensation — the TFL instantiation.
-  kTopological,
-  /// Increasing total degree — a deliberately bad order for ablation.
-  kReverseDegree,
-  /// Uniformly random order — the ablation baseline.
-  kRandom,
+/// What the TOL family plugs into `TwoHopEngine`: an entry is a bare hop
+/// rank, lists are strictly increasing, queries carry no constraint, and
+/// the kernels are the plain sorted-set ones (`IntersectSorted`,
+/// `CompressedRankPool`).
+struct PlainTwoHopTraits {
+  using Interface = DynamicReachabilityIndex;
+  using Graph = Digraph;
+  using Update = EdgeUpdate;
+  using Arc = VertexId;
+  using Entry = uint32_t;
+  using CompressedPool = CompressedRankPool;
+  struct Constraint {};
+
+  static constexpr bool kRankGroups = false;
+  // Damaged-witness verification is not counted as a probe fallback.
+  static constexpr bool kCountsFallbacks = false;
+  // The envelope's format name: one name for the whole TOL family — the
+  // stream stores the total order itself, so any `VertexOrder` instance
+  // can load any other's labeling.
+  static constexpr std::string_view kFormatName = "pll";
+  // Payload magic, kept from the pre-envelope format.
+  static constexpr uint64_t kPayloadMagic = 0x72656163682d3268ULL;  // reach-2h
+
+  static uint32_t RankOf(uint32_t entry) { return entry; }
+  static Constraint EntryConstraint(uint32_t) { return {}; }
+
+  static bool Covered(std::span<const uint32_t> list, uint32_t rank,
+                      Constraint) {
+    return std::binary_search(list.begin(), list.end(), rank);
+  }
+  static bool Covered(const CompressedRankPool& pool, VertexId v,
+                      uint32_t rank, Constraint) {
+    return pool.Contains(v, rank);
+  }
+  static bool Intersect(std::span<const uint32_t> a,
+                        std::span<const uint32_t> b, Constraint) {
+    return IntersectSorted(a.data(), a.size(), b.data(), b.size());
+  }
+  static bool Intersect(const CompressedRankPool& a, VertexId va,
+                        const CompressedRankPool& b, VertexId vb,
+                        Constraint) {
+    return CompressedRankPool::Intersect(a, va, b, vb);
+  }
+  static bool Intersect(const CompressedRankPool& pool, VertexId v,
+                        std::span<const uint32_t> sorted, Constraint) {
+    return pool.IntersectWithSorted(v, sorted.data(), sorted.size());
+  }
+  static bool Seal(CompressedRankPool& pool,
+                   const std::vector<std::vector<uint32_t>>& lists,
+                   size_t block_entries) {
+    pool.Seal(lists, block_entries);
+    return true;
+  }
+
+  static std::span<const VertexId> OutArcs(const Digraph& g, VertexId v) {
+    return g.OutNeighbors(v);
+  }
+  static std::span<const VertexId> InArcs(const Digraph& g, VertexId v) {
+    return g.InNeighbors(v);
+  }
+  static VertexId Head(VertexId arc) { return arc; }
+  static bool ArcAllowed(VertexId, Constraint) { return true; }
+  // Any live detour makes a delete redundant.
+  static Constraint DetourConstraint(VertexId) { return {}; }
+  static VertexId OutArc(const EdgeUpdate& u) { return u.target; }
+  static VertexId InArc(const EdgeUpdate& u) { return u.source; }
+  static bool LabelInRange(const Digraph&, const EdgeUpdate&) { return true; }
+  static Edge MakeEdge(VertexId source, VertexId arc) { return {source, arc}; }
+  static VertexId OutArcOf(const Edge& e) { return e.target; }
+  static Digraph FromEdges(const Digraph& like, std::vector<Edge> edges) {
+    return Digraph::FromEdges(static_cast<VertexId>(like.NumVertices()),
+                              std::move(edges));
+  }
+
+  // Build: one pruned BFS per rank and direction (pruned_two_hop.cc).
+  struct Scratch;
+  template <typename Engine, typename Emit>
+  static bool Sweep(const Engine& engine, const Digraph& graph, uint32_t r,
+                    bool forward, bool speculative, Scratch& s, Emit&& emit);
+  template <typename Engine>
+  static void PropagateInsert(Engine& engine, VertexId s, VertexId t);
 };
 
 /// The 2-hop labeling framework of Cohen et al. [14] computed with pruned
@@ -51,102 +122,47 @@ enum class VertexOrder {
 ///    vertices reachable from v. Unlike TOL's full algorithm this may
 ///    retain redundant entries (redundancy elimination is out of scope);
 ///    `Build` can be re-run to re-minimize.
-///  * Deletes are absorbed without rebuilding (DESIGN.md "Deletions"):
-///    the sealed labels are kept as a *superset* labeling (they describe
-///    base ∪ every-edge-ever-inserted, which only over-approximates the
-///    current graph), the deleted edge goes into a tombstone set consulted
-///    by the guided traversals, and a bounded local search classifies the
-///    delete. A *locally redundant* delete (u still reaches v another way)
-///    provably changes no answer and costs nothing at query time. A
-///    *damaging* delete marks the hub ranks whose label entries may now be
-///    stale (bounded BFS over the superset adjacency); `AnswerQuery` then
-///    trusts only undamaged witnesses, and verifies damaged-witness
-///    positives by a label-pruned BFS over the live adjacency — answers
-///    stay exact at every damage level. Accumulated damage is the
-///    staleness budget of the rebuild-threshold policy: once it crosses
-///    `staleness_budget` the batch returns `kDeferredRebuild` and the
-///    caller schedules `RebuildFromUpdates()`.
-class PrunedTwoHop : public DynamicReachabilityIndex {
+///  * Deletes are absorbed without rebuilding by the engine's superset
+///    labeling, tombstones, damage marks and witness-trust answers
+///    (`TwoHopEngine`, DESIGN.md §2.5); a delete is locally
+///    redundant when any live detour survives. Answers stay exact at every
+///    damage level; once damage crosses `staleness_budget` the batch
+///    returns `kDeferredRebuild` and the caller schedules
+///    `RebuildFromUpdates()`.
+class PrunedTwoHop : public TwoHopEngine<PlainTwoHopTraits> {
  public:
   /// `num_threads` parallelizes the build with rank-batched speculative
-  /// pruned BFSs (paraPLL-style): each batch speculates against the
-  /// committed label prefix in parallel, then commits in rank order,
-  /// redoing exactly the sweeps whose pruning oracle was made stale by an
-  /// earlier rank of the same batch. The committed labeling — including
+  /// pruned BFSs (paraPLL-style); the committed labeling — including
   /// `Save` bytes — is bit-identical to a serial build for any thread
-  /// count (docs/PARALLELISM.md has the argument). 0 = `DefaultThreads()`,
-  /// 1 = serial.
+  /// count (docs/PARALLELISM.md). 0 = `DefaultThreads()`, 1 = serial.
   explicit PrunedTwoHop(VertexOrder order = VertexOrder::kDegree,
                         uint64_t seed = 0x70'6c'6cULL, size_t num_threads = 0,
                         TwoHopStorageOptions storage = {},
                         size_t staleness_budget = kDefaultStalenessBudget)
-      : order_(order),
-        seed_(seed),
-        num_threads_(num_threads),
-        storage_(storage),
-        staleness_budget_(staleness_budget) {}
+      : TwoHopEngine(order, seed, num_threads, storage, staleness_budget) {}
 
-  /// Default `staleness_budget`: damaging deletes tolerated before
-  /// `ApplyUpdate` starts returning `kDeferredRebuild`. 0 = unbounded.
-  static constexpr size_t kDefaultStalenessBudget = 32;
-
-  void Build(const Digraph& graph) override;
   bool Query(VertexId s, VertexId t) const override;
-  size_t IndexSizeBytes() const override;
-  /// Complete while label-exact; damaging deletes flip this to false
-  /// until `RebuildFromUpdates`/`Build` re-minimizes.
-  bool IsComplete() const override { return damage_ == 0; }
   std::string Name() const override;
-  QueryProbe Probe() const override { return probes_.Aggregate(); }
-  void ResetProbe() const override { probes_.Reset(); }
 
-  size_t PrepareConcurrentQueries(size_t slots) const override {
-    if (slots == 0) slots = 1;
-    probes_.EnsureSlots(slots);
-    // Damaged-witness verification traverses; give every slot its own
-    // scratch now — growing mid-fanout would race.
-    verify_ws_.EnsureSlots(slots);
-    return slots;
-  }
+  size_t PrepareConcurrentQueries(size_t slots) const override;
   bool QueryInSlot(VertexId s, VertexId t, size_t slot) const override;
 
   /// The unified write surface (see class comment). Inserts always apply
-  /// incrementally; deletes apply incrementally with bounded local
-  /// repair. Never rebuilds internally — crossing the staleness budget
-  /// only changes the returned status to `kDeferredRebuild`.
-  UpdateResult ApplyUpdate(const UpdateBatch& batch) override;
+  /// incrementally; deletes apply incrementally with bounded local repair.
+  UpdateResult ApplyUpdate(const UpdateBatch& batch) override {
+    return ApplyBatch(batch);
+  }
   bool SupportsDeletions() const override { return true; }
-
   /// Folds tombstones + inserted edges into a fresh build over the live
   /// edge set, resetting damage to zero.
-  bool RebuildFromUpdates() override;
-
-  /// Deletions currently answered through the repair machinery (0 =
-  /// label-exact) and the configured budget, for tests and policy code.
-  size_t Damage() const { return damage_; }
-  size_t StalenessBudget() const { return staleness_budget_; }
-
-  /// Serializes the labeling (envelope + ranks + Lin/Lout) to a binary
-  /// stream — the persistence piece of the §5 "integration into GDBMSs"
-  /// challenge. The label state already reflects any incremental
-  /// insertions. Refuses (returns false) while `Damage() > 0`: a damaged
-  /// labeling is only exact together with the live tombstone/graph state,
-  /// which the stream does not carry — `RebuildFromUpdates()` first.
-  /// Envelope format name: "pll" for the whole TOL family.
-  bool SupportsSerialization() const override { return true; }
-  bool Save(std::ostream& out) const override;
-
-  /// Restores a labeling saved by `Save`. A loaded index answers queries
-  /// without the original graph; call `Build` (or keep the graph around)
-  /// before using `ApplyUpdate` again. Returns a typed error on malformed
-  /// input, leaving the index unspecified.
-  LoadResult Load(std::istream& in) override;
+  bool RebuildFromUpdates() override { return Rebuild(); }
 
   /// Writes an RCHX v2 *snapshot file* (docs/SNAPSHOTS.md): the sealed
   /// pool arrays — flat or compressed, any post-build delta folded in —
   /// laid out page-aligned behind a section table, so `LoadSnapshot` can
   /// mmap the file and serve queries straight off the mapping. Unlike
-  /// `Save`, the bytes depend on the storage mode.
+  /// `Save`, the bytes depend on the storage mode. Refuses while damaged,
+  /// like `Save`.
   bool SaveSnapshot(std::ostream& out) const;
 
   /// Crash-safe snapshot write to a file: the stream form above routed
@@ -167,144 +183,18 @@ class PrunedTwoHop : public DynamicReachabilityIndex {
 
   /// Total number of label entries sum |Lin| + |Lout| — the index-size
   /// measure of §3.2.
-  size_t TotalLabelEntries() const;
+  size_t TotalLabelEntries() const { return TotalEntries(); }
 
   /// Number of vertices covered by the (built or loaded) labeling.
   size_t NumIndexedVertices() const { return rank_.size(); }
 
-  /// True when the sealed labels live in block-compressed pools.
-  bool CompressedStorage() const { return compressed_; }
-  /// True when a `budget_mb` bound was requested but even the coarsest
-  /// storage tier exceeds it.
-  bool BudgetExceeded() const { return budget_exceeded_; }
-  const TwoHopStorageOptions& Storage() const { return storage_; }
-
   /// The hop ranks labeling `v` (ascending), for tests / ablation benches:
   /// the sealed pool slice merged with any post-build delta entries.
-  std::vector<uint32_t> InLabels(VertexId v) const;
-  std::vector<uint32_t> OutLabels(VertexId v) const;
-
- private:
-  void ComputeOrder(const Digraph& graph);
-  void BuildLabels(const Digraph& graph);
-  void BuildLabelsParallel(const Digraph& graph, size_t threads);
-  void SealLabels();
-  // Live adjacency: base graph minus tombstones, plus inserted extras.
-  template <typename Fn>
-  void ForEachOut(VertexId v, Fn&& fn) const;
-  template <typename Fn>
-  void ForEachIn(VertexId v, Fn&& fn) const;
-  // Superset adjacency: base ∪ every edge ever inserted, tombstones
-  // ignored — the graph the sealed labels are exact for.
-  template <typename Fn>
-  void ForEachOutSuperset(VertexId v, Fn&& fn) const;
-  template <typename Fn>
-  void ForEachInSuperset(VertexId v, Fn&& fn) const;
-  // Build-time pruning oracle over the (unsealed) nested label vectors.
-  bool LabelQuery(VertexId s, VertexId t) const;
-  // The three-case 2-hop test on the sealed pools + delta overlay — the
-  // single query hot path every entry point (Query, QueryInSlot, and
-  // wrapper indexes calling either) routes through. With zero damage it
-  // is the label test verbatim; under damage it layers the witness-trust
-  // protocol (`slot` picks the verification scratch).
-  bool AnswerQuery(VertexId s, VertexId t, size_t slot = 0) const;
-  // The plain label test: exact for the superset graph, hence exact
-  // negatives (and, with zero damage, exact positives) for the live one.
-  bool SupersetAnswer(VertexId s, VertexId t) const;
-  // Damage-mode answer: trusted witness -> true; no witness -> false;
-  // only damaged witnesses -> label-pruned BFS over the live adjacency.
-  bool DamagedAnswer(VertexId s, VertexId t, size_t slot) const;
-  // Exact live-graph reachability check, pruned at vertices whose
-  // superset answer is already negative.
-  bool VerifyReach(VertexId s, VertexId t, size_t slot) const;
-
-  // ApplyUpdate helpers. Both return true when graph state changed.
-  bool ApplyInsert(VertexId s, VertexId t);
-  bool ApplyDelete(VertexId s, VertexId t);
-  // True iff u still reaches v within `kLocalSearchBudget` visits of the
-  // post-delete graph — the delete is then provably answer-preserving.
-  bool LocallyRedundant(VertexId u, VertexId v) const;
-  // Marks the hub ranks whose entries the delete (u, v) may have staled.
-  void MarkDamage(VertexId u, VertexId v);
-  // Transitive mark sweep over the superset adjacency; false = budget
-  // overrun (caller escalates to the matching *_all_damaged_ flag).
-  bool DamageSweep(VertexId start, bool backward);
-  bool IsTombstoned(VertexId u, VertexId v) const;
-  bool RankDamagedFwd(uint32_t r) const {
-    return fwd_all_damaged_ || damaged_fwd_[r] != 0;
-  }
-  bool RankDamagedBwd(uint32_t r) const {
-    return bwd_all_damaged_ || damaged_bwd_[r] != 0;
-  }
-  void ResetDynamicState();
-
-  // Visit cap for the per-delete local searches (redundancy check and
-  // damage marking); overrun degrades to all-ranks-damaged, never to a
-  // wrong answer.
-  static constexpr size_t kLocalSearchBudget = 4096;
-
-  // Publishes the index.bytes / compression gauges after a (re)seal.
-  void PublishStorageGauges(size_t flat_equivalent_bytes) const;
-
-  VertexOrder order_;
-  uint64_t seed_;
-  size_t num_threads_;
-  TwoHopStorageOptions storage_;
-  size_t staleness_budget_;
-  const Digraph* graph_ = nullptr;
-  Digraph owned_graph_;  // used after RebuildFromUpdates
-  std::vector<uint32_t> rank_;       // rank_[v] = order position (0 = first)
-  std::vector<VertexId> by_rank_;    // inverse of rank_
-  // Build-side label accumulators (sorted hop ranks); SealLabels() moves
-  // them into the flat pools and leaves them empty.
-  std::vector<std::vector<uint32_t>> lin_;
-  std::vector<std::vector<uint32_t>> lout_;
-  // Sealed query-path layout (docs/QUERY_ENGINE.md). Exactly one of the
-  // two representations is live after SealLabels: the flat pools, or —
-  // when `storage_` asks for compression (or the budget forces it) — the
-  // block-compressed pools (`compressed_` says which).
-  FlatLabelPool<uint32_t> lin_pool_;
-  FlatLabelPool<uint32_t> lout_pool_;
-  CompressedRankPool lin_cpool_;
-  CompressedRankPool lout_cpool_;
-  bool compressed_ = false;
-  bool budget_exceeded_ = false;
-  // Keeps a zero-copy snapshot mapping alive while pool views point
-  // into it (docs/SNAPSHOTS.md lifetime rules).
-  std::shared_ptr<MappedFile> mapping_;
-  // Unsealed delta overlay: Lin entries added by inserts after sealing
-  // (sorted, disjoint from the pool slice). Empty until the first insert.
-  std::vector<std::vector<uint32_t>> delta_lin_;
-  bool has_delta_ = false;
-  // Edges inserted after Build (delta adjacency on top of *graph_).
-  std::vector<std::vector<VertexId>> extra_out_;
-  std::vector<std::vector<VertexId>> extra_in_;
-  // Deleted edges (sorted per vertex), base and extra alike; the
-  // live-adjacency iterators skip them. Deleted extras stay in extra_*
-  // on purpose: the superset adjacency (which the sealed + delta labels
-  // are exact for, and which damage marking traverses) must keep every
-  // edge that ever existed — a later delete can break the alternate path
-  // that justified an earlier "locally redundant" one, and the marking
-  // BFS is only conservative if it still sees the old route. Empty until
-  // the first delete.
-  std::vector<std::vector<VertexId>> tomb_out_;
-  std::vector<std::vector<VertexId>> tomb_in_;
-  // Damaging deletes absorbed since the last (re)build, and the per-rank
-  // stale-witness marks they left: damaged_fwd_[r] = hub by_rank_[r]'s
-  // forward claims (its Lin entries at other vertices) may be stale;
-  // damaged_bwd_[r] dually for its Lout entries. The all_damaged flags
-  // are the budget-overrun fallbacks of the bounded marking search.
-  size_t damage_ = 0;
-  std::vector<uint8_t> damaged_fwd_;
-  std::vector<uint8_t> damaged_bwd_;
-  bool fwd_all_damaged_ = false;
-  bool bwd_all_damaged_ = false;
-  mutable SearchWorkspace ws_;
-  // Per-slot scratch for damaged-witness verification (slot-parallel
-  // queries must not share ws_).
-  mutable WorkspacePool verify_ws_;
-  mutable ProbePool probes_;
+  std::vector<uint32_t> InLabels(VertexId v) const { return InEntries(v); }
+  std::vector<uint32_t> OutLabels(VertexId v) const { return OutEntries(v); }
 };
+
+extern template class TwoHopEngine<PlainTwoHopTraits>;
 
 }  // namespace reach
 

@@ -1,10 +1,13 @@
 // Churn differential suite for the unified batched write API (ISSUE 10
 // acceptance): random insert/delete mixes through `ApplyUpdate` on every
-// deletion-capable index on the roster — pll, dagger, the fastpath
-// wrapper, and the labeled 2-hop — cross-checked against a BFS oracle,
+// deletion-capable index on the roster — pll (flat and compressed
+// storage), dagger, the fastpath wrapper, and the labeled 2-hop (flat and
+// compressed) — cross-checked against a BFS oracle,
 // with zero full rebuilds until the staleness budget recommends one and
 // SCC split/merge transitions handled in place.
 
+#include <iterator>
+#include <ostream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -24,10 +27,14 @@ namespace {
 
 // The deletion-capable plain roster, exercised through the factory so the
 // test covers exactly what `MakeIndex` hands out (wrapper included).
-const char* const kDecrementalSpecs[] = {"pll", "dagger", "pll:fastpath=1"};
+const char* const kDecrementalSpecs[] = {"pll", "dagger", "pll:fastpath=1",
+                                          "pll:compress=1"};
 
+// The spec is held as a std::string so the runner prints its text: a raw
+// `const char*` inside a tuple prints as a pointer, which would put an
+// address (different on every run under ASLR) into each test's listed name.
 class PlainChurnTest
-    : public ::testing::TestWithParam<std::tuple<const char*, uint64_t>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, uint64_t>> {};
 
 TEST_P(PlainChurnTest, MixedBatchesMatchOracleWithoutEagerRebuilds) {
   const auto& [spec, seed] = GetParam();
@@ -100,8 +107,10 @@ TEST_P(PlainChurnTest, MixedBatchesMatchOracleWithoutEagerRebuilds) {
 
 INSTANTIATE_TEST_SUITE_P(
     Roster, PlainChurnTest,
-    ::testing::Combine(::testing::ValuesIn(kDecrementalSpecs),
-                       ::testing::Values(811u, 812u)),
+    ::testing::Combine(
+        ::testing::ValuesIn(std::vector<std::string>(
+            std::begin(kDecrementalSpecs), std::end(kDecrementalSpecs))),
+        ::testing::Values(811u, 812u)),
     [](const auto& info) {
       std::string name = std::get<0>(info.param);
       for (char& c : name) {
@@ -174,19 +183,34 @@ TEST(StalenessPolicyTest, SpecParameterDrivesTheRebuildThreshold) {
   EXPECT_TRUE(made.plain->Query(2, 5));
 }
 
-class LcrChurnTest : public ::testing::TestWithParam<uint64_t> {};
+// The damage paths read flat and compressed pools through different
+// kernels, so every seed runs on both storage modes. A case prints as its
+// seed (plus "_compress"), which is how the test runner names it.
+struct LcrChurnCase {
+  uint64_t seed;
+  bool compress;
+
+  friend void PrintTo(const LcrChurnCase& c, std::ostream* os) {
+    *os << c.seed << (c.compress ? "_compress" : "");
+  }
+};
+
+class LcrChurnTest : public ::testing::TestWithParam<LcrChurnCase> {};
 
 TEST_P(LcrChurnTest, LabeledMixedBatchesMatchOracle) {
-  const uint64_t seed = GetParam();
+  const auto& [seed, compress] = GetParam();
   const VertexId n = 12;
   const Label num_labels = 2;
   Xoshiro256ss rng(seed);
   std::vector<LabeledEdge> live =
       RandomLabeledDigraph(n, 20, num_labels, seed).Edges();
-  PrunedLabeledTwoHop index;
+  TwoHopStorageOptions storage;
+  storage.compress = compress;
+  PrunedLabeledTwoHop index(0, storage);
   const LabeledDigraph base =
       LabeledDigraph::FromEdges(n, num_labels, live);
   index.Build(base);
+  ASSERT_EQ(index.CompressedStorage(), compress);
 
   SearchWorkspace ws;
   for (int step = 0; step < 60; ++step) {
@@ -230,7 +254,12 @@ TEST_P(LcrChurnTest, LabeledMixedBatchesMatchOracle) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LcrChurnTest,
-                         ::testing::Values(911, 912, 913));
+                         ::testing::Values(LcrChurnCase{911, false},
+                                           LcrChurnCase{912, false},
+                                           LcrChurnCase{913, false},
+                                           LcrChurnCase{911, true},
+                                           LcrChurnCase{912, true},
+                                           LcrChurnCase{913, true}));
 
 }  // namespace
 }  // namespace reach

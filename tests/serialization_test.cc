@@ -9,6 +9,7 @@
 #include "graph/figure1.h"
 #include "graph/generators.h"
 #include "lcr/label_set.h"
+#include "lcr/pruned_labeled_two_hop.h"
 #include "plain/pruned_two_hop.h"
 #include "traversal/transitive_closure.h"
 
@@ -104,6 +105,68 @@ TEST(SerializationTest, RejectsCorruptedRanks) {
   std::stringstream corrupted(data);
   PrunedTwoHop loaded;
   EXPECT_FALSE(loaded.Load(corrupted));
+}
+
+// A hand-written "pll" stream for the chain 0 -> 1 -> 2 under the
+// identity order: Lin(1) = {0}, Lin(2) = `lin2`, every Lout empty.
+std::string ChainStream(const std::vector<uint32_t>& lin2) {
+  using serialize_detail::WritePod;
+  using serialize_detail::WriteU32Vec;
+  std::stringstream out;
+  EXPECT_TRUE(WriteEnvelope(out, "pll"));
+  WritePod(out, uint64_t{0x72656163682d3268ULL});  // payload magic
+  WritePod(out, uint64_t{3});
+  WriteU32Vec(out, {0, 1, 2});  // rank table
+  WriteU32Vec(out, {0, 1, 2});  // by-rank table
+  WriteU32Vec(out, {});
+  WriteU32Vec(out, {0});
+  WriteU32Vec(out, lin2);
+  for (int v = 0; v < 3; ++v) WriteU32Vec(out, {});
+  return out.str();
+}
+
+TEST(SerializationTest, RejectsUnsortedLabelList) {
+  std::stringstream sorted(ChainStream({0, 1}));
+  PrunedTwoHop loaded;
+  ASSERT_TRUE(loaded.Load(sorted));
+  EXPECT_TRUE(loaded.Query(0, 2));
+
+  // The kernels binary-search and merge the lists, so an unsorted list
+  // would load and then answer wrong: it must be refused, naming the list.
+  std::stringstream unsorted(ChainStream({1, 0}));
+  PrunedTwoHop rejected;
+  const LoadResult result = rejected.Load(unsorted);
+  EXPECT_EQ(result.status, LoadStatus::kCorrupt);
+  EXPECT_NE(result.detail.find("Lin[2] at byte "), std::string::npos)
+      << result.detail;
+
+  std::stringstream duplicate(ChainStream({0, 0}));
+  EXPECT_EQ(PrunedTwoHop().Load(duplicate).status, LoadStatus::kCorrupt);
+}
+
+TEST(SerializationTest, TruncatedLabeledStreamNamesTheSection) {
+  const LabeledDigraph g = RandomLabeledDigraph(30, 90, 3, 0x5EED);
+  PrunedLabeledTwoHop index;
+  index.Build(g);
+  std::stringstream buffer;
+  ASSERT_TRUE(index.Save(buffer));
+  const std::string full = buffer.str();
+  // Envelope: 3 u32 fields + the name "p2h" = 15 bytes; then the u64
+  // payload magic, the u64 vertex count, and the rank table.
+  const std::pair<size_t, std::string> cuts[] = {
+      {20, "payload magic at byte 15"},
+      {27, "vertex count at byte 23"},
+      {40, "rank table at byte 31"},
+      {full.size() - 3, "Lout[29] at byte "},
+  };
+  for (const auto& [cut, section] : cuts) {
+    std::stringstream truncated(full.substr(0, cut));
+    PrunedLabeledTwoHop loaded;
+    const LoadResult result = loaded.Load(truncated);
+    EXPECT_EQ(result.status, LoadStatus::kCorrupt) << "cut at " << cut;
+    EXPECT_NE(result.detail.find(section), std::string::npos)
+        << "cut at " << cut << ": " << result.detail;
+  }
 }
 
 // Save -> Load across *every* registered plain spec: serializable
