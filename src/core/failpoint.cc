@@ -181,21 +181,31 @@ const char* FailpointActionName(FailpointAction action) {
   return "?";
 }
 
-FailpointRegistry& FailpointRegistry::Global() {
-  static FailpointRegistry* instance = new FailpointRegistry();
-  return *instance;
-}
-
 FailpointRegistry::FailpointRegistry() {
-  if (!kFailpointsCompiled) return;  // env is production-inert otherwise
   const char* spec = std::getenv("REACH_FAILPOINTS");
   if (spec == nullptr || spec[0] == '\0') return;
   std::string error;
   if (!Configure(spec, &error)) {
     std::fprintf(stderr, "warning: REACH_FAILPOINTS ignored: %s\n",
                  error.c_str());
+    return;
   }
+  // Every build honors the spec, so say so: a production process armed
+  // from its environment should not fail silently.
+  std::string names;
+  for (const std::string& name : ArmedSites()) {
+    names += (names.empty() ? "" : ", ") + name;
+  }
+  if (names.empty()) return;
+  std::fprintf(stderr, "warning: REACH_FAILPOINTS armed: %s\n",
+               names.c_str());
 }
+
+// Any binary with a site links this file, so the registry is built
+// before main(): an environment spec is applied and announced at startup,
+// not when the process first reaches a site.
+[[maybe_unused]] static const FailpointRegistry& kStartupRegistry =
+    FailpointRegistry::Global();
 
 bool FailpointRegistry::Configure(const std::string& spec,
                                   std::string* error) {
@@ -236,6 +246,7 @@ bool FailpointRegistry::Configure(const std::string& spec,
                                               : HashSiteName(e.site));
     sites_[e.site] = site;
   }
+  any_armed_.store(!sites_.empty(), std::memory_order_release);
   return true;
 }
 
@@ -248,11 +259,13 @@ bool FailpointRegistry::Arm(const std::string& site,
 void FailpointRegistry::Disarm(const std::string& site) {
   std::lock_guard<std::mutex> lock(mu_);
   sites_.erase(site);
+  any_armed_.store(!sites_.empty(), std::memory_order_release);
 }
 
 void FailpointRegistry::DisarmAll() {
   std::lock_guard<std::mutex> lock(mu_);
   sites_.clear();
+  any_armed_.store(false, std::memory_order_release);
 }
 
 FailpointHit FailpointRegistry::Evaluate(const char* site) {

@@ -1,6 +1,7 @@
 #ifndef REACH_CORE_FAILPOINT_H_
 #define REACH_CORE_FAILPOINT_H_
 
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <stdexcept>
@@ -11,17 +12,6 @@
 #include "graph/rng.h"
 
 namespace reach {
-
-#ifndef REACH_FAILPOINTS
-#define REACH_FAILPOINTS 0
-#endif
-
-/// True when the production failpoint *sites* are compiled in
-/// (`-DREACH_FAILPOINTS=ON`). The registry below is always available —
-/// tests can drive `Evaluate` directly either way — but the
-/// `REACH_FAILPOINT(site)` calls sprinkled through the library are
-/// zero-cost no-ops unless this is set (docs/ROBUSTNESS.md).
-inline constexpr bool kFailpointsCompiled = REACH_FAILPOINTS != 0;
 
 /// What a triggered failpoint asks its site to do. Sites honor kError /
 /// kPartial / kEintr in whatever way makes sense locally (throw, return
@@ -61,9 +51,9 @@ class FailpointError : public std::runtime_error {
 /// chaos harness for the serve/snapshot paths (docs/ROBUSTNESS.md).
 ///
 /// Sites are armed from the `REACH_FAILPOINTS` environment variable (read
-/// once, on first use, only when compiled in) or programmatically via
-/// `Arm`/`Configure`. Spec grammar, entries separated by ';' (or ',' at
-/// top level):
+/// once, at startup, and announced on stderr when it arms any site) or
+/// programmatically via `Arm`/`Configure`. Spec grammar, entries
+/// separated by ';' (or ',' at top level):
 ///
 ///   serve.rebuild=error(p=0.5,seed=7);snapshot.write=partial(bytes=4096)
 ///
@@ -73,12 +63,16 @@ class FailpointError : public std::runtime_error {
 /// are reproducible even unseeded), `times` (max fires, default
 /// unlimited), `skip` (ignore the first N evaluations).
 ///
-/// Thread-safe; `Evaluate` is a table lookup under one mutex — fine for
-/// chaos builds, and never reached in production builds where the site
-/// macro compiles away.
+/// Thread-safe. `Evaluate` is a table lookup under one mutex; the
+/// `REACH_FAILPOINT(site)` sites compiled into every build reach it only
+/// while some site is armed, so an unarmed process pays two loads (the
+/// `Global()` guard and the flag) per site.
 class FailpointRegistry {
  public:
-  static FailpointRegistry& Global();
+  static FailpointRegistry& Global() {
+    static FailpointRegistry* instance = new FailpointRegistry();
+    return *instance;
+  }
 
   /// Parses a full multi-site spec and arms every entry. On a malformed
   /// entry, arms nothing, reports via `*error`, and returns false.
@@ -92,9 +86,18 @@ class FailpointRegistry {
   void Disarm(const std::string& site);
   void DisarmAll();
 
-  /// The heart of the harness: called by `REACH_FAILPOINT(site)`. Rolls
-  /// the site's seeded RNG and returns what (if anything) should fail;
-  /// for kDelay the sleep happens here, off-lock.
+  /// The gate every site checks first: true while any site is armed.
+  bool AnyArmed() const { return any_armed_.load(std::memory_order_acquire); }
+
+  /// What `REACH_FAILPOINT(site)` calls: `Evaluate` while any site is
+  /// armed, otherwise an empty hit without touching the table's lock.
+  FailpointHit Fire(const char* site) {
+    return AnyArmed() ? Evaluate(site) : FailpointHit{};
+  }
+
+  /// The heart of the harness. Rolls the site's seeded RNG and returns
+  /// what (if anything) should fail; for kDelay the sleep happens here,
+  /// off-lock.
   FailpointHit Evaluate(const char* site);
 
   /// Cumulative fires of `site` since it was (last) armed.
@@ -119,14 +122,11 @@ class FailpointRegistry {
 
   mutable std::mutex mu_;
   std::unordered_map<std::string, Site> sites_;
+  // !sites_.empty(), stored under mu_ by every mutator.
+  std::atomic<bool> any_armed_{false};
 };
 
-#if REACH_FAILPOINTS
-#define REACH_FAILPOINT(site) ::reach::FailpointRegistry::Global().Evaluate(site)
-#else
-// Compiled out: a constant empty hit the optimizer folds away entirely.
-#define REACH_FAILPOINT(site) (::reach::FailpointHit{})
-#endif
+#define REACH_FAILPOINT(site) ::reach::FailpointRegistry::Global().Fire(site)
 
 }  // namespace reach
 

@@ -452,9 +452,7 @@ bool TwoHopEngine<Traits>::DamagedAnswer(VertexId s, VertexId t,
   if (!damaged_witness) return false;
   // Exact live-graph check; unbounded on purpose (the exactness backstop —
   // the label pruning keeps the frontier near the damaged region).
-  if constexpr (Traits::kCountsFallbacks) {
-    REACH_PROBE_INC(probes_.Slot(slot), fallbacks);
-  }
+  REACH_PROBE_INC(probes_.Slot(slot), fallbacks);
   return LiveSearch(s, t, c, verify_ws_.Slot(slot), SIZE_MAX);
 }
 

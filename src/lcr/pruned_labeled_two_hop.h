@@ -31,8 +31,6 @@ struct LabeledTwoHopTraits {
   using Constraint = LabelSet;
 
   static constexpr bool kRankGroups = true;
-  // Damaged-witness verification counts as a probe fallback.
-  static constexpr bool kCountsFallbacks = true;
   static constexpr std::string_view kFormatName = "p2h";
   // Distinct from the plain "reach-2h" payload; the envelope already
   // distinguishes formats, this is defense in depth.

@@ -33,8 +33,6 @@ struct PlainTwoHopTraits {
   struct Constraint {};
 
   static constexpr bool kRankGroups = false;
-  // Damaged-witness verification is not counted as a probe fallback.
-  static constexpr bool kCountsFallbacks = false;
   // The envelope's format name: one name for the whole TOL family — the
   // stream stores the total order itself, so any `VertexOrder` instance
   // can load any other's labeling.

@@ -1,7 +1,6 @@
-// Failpoint framework suite (core/failpoint.h). The registry is always
-// compiled — only the REACH_FAILPOINT() macro sites are gated behind the
-// REACH_FAILPOINTS build flag — so every test here drives Evaluate()
-// directly and runs in every build configuration.
+// Failpoint framework suite (core/failpoint.h): the spec parser, seeded
+// firing, and the "any site armed" gate that the REACH_FAILPOINT() sites
+// compiled into every build check before they reach Evaluate().
 
 #include "core/failpoint.h"
 
@@ -139,21 +138,43 @@ TEST_F(FailpointTest, OffSpecDisarms) {
   EXPECT_TRUE(reg.Evaluate("fp_test.off"));
   ASSERT_TRUE(reg.Arm("fp_test.off", "off", &error)) << error;
   EXPECT_FALSE(reg.Evaluate("fp_test.off"));
+  EXPECT_FALSE(reg.AnyArmed());
+
+  // Entries apply in order: armed, then disarmed by the same spec.
+  ASSERT_TRUE(reg.Configure("fp_test.off=error;fp_test.off=off", &error))
+      << error;
+  EXPECT_FALSE(reg.AnyArmed());
+  EXPECT_FALSE(REACH_FAILPOINT("fp_test.off"));
 }
 
-TEST_F(FailpointTest, MacroIsCompiledOutUnlessFlagged) {
+// The gate: with nothing armed a site returns an empty hit; arming any
+// site opens it, and disarming the last one closes it again.
+TEST_F(FailpointTest, SitesFireOnlyWhileSomethingIsArmed) {
   FailpointRegistry& reg = FailpointRegistry::Global();
+  ASSERT_FALSE(reg.AnyArmed());
+  EXPECT_EQ(REACH_FAILPOINT("fp_test.gate").action, FailpointAction::kNone);
+  EXPECT_EQ(reg.HitCount("fp_test.gate"), 0u);
+
   std::string error;
-  ASSERT_TRUE(reg.Arm("fp_test.macro", "error", &error)) << error;
-  const FailpointHit hit = REACH_FAILPOINT("fp_test.macro");
-  if (kFailpointsCompiled) {
-    EXPECT_EQ(hit.action, FailpointAction::kError);
-    EXPECT_EQ(reg.HitCount("fp_test.macro"), 1u);
-  } else {
-    // The macro is a constant no-op: the armed site is never consulted.
-    EXPECT_EQ(hit.action, FailpointAction::kNone);
-    EXPECT_EQ(reg.HitCount("fp_test.macro"), 0u);
-  }
+  ASSERT_TRUE(reg.Configure("fp_test.gate=error;fp_test.other=error", &error))
+      << error;
+  EXPECT_TRUE(reg.AnyArmed());
+  EXPECT_EQ(REACH_FAILPOINT("fp_test.gate").action, FailpointAction::kError);
+  reg.Disarm("fp_test.gate");
+  EXPECT_TRUE(reg.AnyArmed());  // fp_test.other is still armed
+  EXPECT_FALSE(REACH_FAILPOINT("fp_test.gate"));
+  reg.Disarm("fp_test.other");
+  EXPECT_FALSE(reg.AnyArmed());
+  EXPECT_FALSE(REACH_FAILPOINT("fp_test.gate"));
+  EXPECT_EQ(reg.HitCount("fp_test.gate"), 0u);
+
+  // Re-arming opens the gate again, and DisarmAll closes it.
+  ASSERT_TRUE(reg.Arm("fp_test.gate", "error", &error)) << error;
+  EXPECT_TRUE(REACH_FAILPOINT("fp_test.gate"));
+  EXPECT_EQ(reg.HitCount("fp_test.gate"), 1u);
+  reg.DisarmAll();
+  EXPECT_FALSE(reg.AnyArmed());
+  EXPECT_FALSE(REACH_FAILPOINT("fp_test.gate"));
 }
 
 TEST_F(FailpointTest, FailpointErrorIsARuntimeError) {

@@ -1,7 +1,7 @@
 // MappedFile suite (core/mapped_file.h): mmap vs buffered-read parity,
-// the forced kRead mode, and — in REACH_FAILPOINTS builds — injected
-// open/mmap/read failures exercising the EINTR-retry and short-read
-// accumulation paths that only misbehaving filesystems hit organically.
+// the forced kRead mode, and injected open/mmap/read failures exercising
+// the EINTR-retry and short-read accumulation paths that only
+// misbehaving filesystems hit organically.
 
 #include "core/mapped_file.h"
 
@@ -79,10 +79,9 @@ TEST_F(MappedFileTest, MissingFileFailsWithReason) {
 }
 
 // ---------------------------------------------------------------------
-// Failpoint-driven paths: require the macro sites to be compiled in.
+// Failpoint-driven paths.
 
 TEST_F(MappedFileTest, InjectedMmapFailureFallsBackToBufferedRead) {
-  if (!kFailpointsCompiled) GTEST_SKIP() << "REACH_FAILPOINTS is OFF";
   const std::vector<uint8_t> bytes = PatternBytes(4096);
   const std::string path = WriteTempFile("mf_mmap_fail.bin", bytes);
   std::string error;
@@ -97,7 +96,6 @@ TEST_F(MappedFileTest, InjectedMmapFailureFallsBackToBufferedRead) {
 }
 
 TEST_F(MappedFileTest, ShortReadsAccumulateToTheFullFile) {
-  if (!kFailpointsCompiled) GTEST_SKIP() << "REACH_FAILPOINTS is OFF";
   const std::vector<uint8_t> bytes = PatternBytes(10000);
   const std::string path = WriteTempFile("mf_short.bin", bytes);
   std::string error;
@@ -114,7 +112,6 @@ TEST_F(MappedFileTest, ShortReadsAccumulateToTheFullFile) {
 }
 
 TEST_F(MappedFileTest, EintrIsRetriedNotFatal) {
-  if (!kFailpointsCompiled) GTEST_SKIP() << "REACH_FAILPOINTS is OFF";
   const std::vector<uint8_t> bytes = PatternBytes(8192);
   const std::string path = WriteTempFile("mf_eintr.bin", bytes);
   std::string error;
@@ -132,7 +129,6 @@ TEST_F(MappedFileTest, EintrIsRetriedNotFatal) {
 }
 
 TEST_F(MappedFileTest, InjectedReadErrorFailsCleanly) {
-  if (!kFailpointsCompiled) GTEST_SKIP() << "REACH_FAILPOINTS is OFF";
   const std::vector<uint8_t> bytes = PatternBytes(512);
   const std::string path = WriteTempFile("mf_readerr.bin", bytes);
   std::string error;
@@ -146,7 +142,6 @@ TEST_F(MappedFileTest, InjectedReadErrorFailsCleanly) {
 }
 
 TEST_F(MappedFileTest, InjectedOpenErrorFailsCleanly) {
-  if (!kFailpointsCompiled) GTEST_SKIP() << "REACH_FAILPOINTS is OFF";
   const std::vector<uint8_t> bytes = PatternBytes(16);
   const std::string path = WriteTempFile("mf_openerr.bin", bytes);
   std::string error;

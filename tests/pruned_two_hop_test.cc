@@ -172,7 +172,13 @@ TEST(PrunedTwoHopTest, DeleteEdgeIncrementally) {
   ASSERT_TRUE(del.ok());
   EXPECT_EQ(del.applied, 1u);
   EXPECT_EQ(del.damage, 1u);  // a chain has no detour: damaging delete
+  index.ResetProbe();
   EXPECT_FALSE(index.Query(0, 4));
+  // The only witness for 0 -> 4 is damaged, so a live search settled the
+  // query: one probe fallback.
+  if (kMetricsCompiled) {
+    EXPECT_EQ(index.Probe().fallbacks, 1u);
+  }
   EXPECT_TRUE(index.Query(0, 2));
   EXPECT_TRUE(index.Query(3, 4));
   // Re-inserting the tombstoned edge resurrects it (labels still cover
