@@ -9,6 +9,14 @@
 
 namespace reach {
 
+/// One pool element on cache lines of its own: concurrent slots write
+/// their probes on every query, and neighbours sharing a line would make
+/// each of those writes a cross-core transfer.
+template <typename T>
+struct alignas(64) CacheLineSlot {
+  T value;
+};
+
 /// A bank of `SearchWorkspace` slots for indexes whose queries traverse:
 /// slot 0 serves plain `Query()` calls, and `BatchQuery` hands each
 /// concurrent worker its own slot so visited marks, scratch queues, and
@@ -31,23 +39,23 @@ class WorkspacePool {
 
   /// The workspace of `slot` (< NumSlots()). Slot 0 is the serial-path
   /// workspace.
-  SearchWorkspace& Slot(size_t slot) const { return slots_[slot]; }
+  SearchWorkspace& Slot(size_t slot) const { return slots_[slot].value; }
 
   /// Sum of all slots' probes — what `ReachabilityIndex::Probe()` should
   /// report after any mix of serial and batched queries.
   QueryProbe AggregateProbe() const {
     QueryProbe merged;
-    for (const SearchWorkspace& ws : slots_) merged.MergeFrom(ws.probe());
+    for (const auto& ws : slots_) merged.MergeFrom(ws.value.probe());
     return merged;
   }
 
   void ResetProbes() const {
-    for (SearchWorkspace& ws : slots_) ws.probe().Reset();
+    for (auto& ws : slots_) ws.value.probe().Reset();
   }
 
  private:
   // mutable: probes and traversal scratch mutate under const Query().
-  mutable std::deque<SearchWorkspace> slots_;
+  mutable std::deque<CacheLineSlot<SearchWorkspace>> slots_;
 };
 
 /// The no-traversal sibling: a bank of plain `QueryProbe`s for complete
@@ -63,20 +71,20 @@ class ProbePool {
 
   size_t NumSlots() const { return slots_.size(); }
 
-  QueryProbe& Slot(size_t slot) const { return slots_[slot]; }
+  QueryProbe& Slot(size_t slot) const { return slots_[slot].value; }
 
   QueryProbe Aggregate() const {
     QueryProbe merged;
-    for (const QueryProbe& probe : slots_) merged.MergeFrom(probe);
+    for (const auto& probe : slots_) merged.MergeFrom(probe.value);
     return merged;
   }
 
   void Reset() const {
-    for (QueryProbe& probe : slots_) probe.Reset();
+    for (auto& probe : slots_) probe.value.Reset();
   }
 
  private:
-  mutable std::deque<QueryProbe> slots_;
+  mutable std::deque<CacheLineSlot<QueryProbe>> slots_;
 };
 
 }  // namespace reach
